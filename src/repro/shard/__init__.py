@@ -23,18 +23,19 @@ ceiling) forces at millions-of-users scale:
   a conservation check (offered = completed + shed + failed + pending);
 * :mod:`repro.shard.replay` — deterministic high-QPS trace replay over
   the fabric (the `sharded-serving` bench scenario and
-  ``repro shard --smoke``);
-* :mod:`repro.shard.parallel_replay` — the shard-parallel kernel: the
-  same replay partitioned by shard domain over worker processes (or an
-  in-process pool) with a deterministic merge, digest-identical to the
-  sequential path.
+  ``repro shard --smoke``): one shard-batched kernel plus the
+  event-at-a-time reference it is tested against.
 """
 
 from repro.shard.directory import PartitionDirectory, Route
 from repro.shard.metrics import FleetMetrics, LatencyHistogram, ShardMetrics
-from repro.shard.parallel_replay import run_parallel_replay
 from repro.shard.rebalance import RebalanceEvent, Rebalancer
-from repro.shard.replay import ReplayConfig, run_replay, run_unsharded_replay
+from repro.shard.replay import (
+    ReplayConfig,
+    run_replay,
+    run_replay_reference,
+    run_unsharded_replay,
+)
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 
@@ -49,7 +50,7 @@ __all__ = [
     "Route",
     "ShardMetrics",
     "ShardRouter",
-    "run_parallel_replay",
     "run_replay",
+    "run_replay_reference",
     "run_unsharded_replay",
 ]

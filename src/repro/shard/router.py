@@ -2,14 +2,16 @@
 
 A :class:`ShardRouter` fronts a fleet of
 :class:`~repro.serve.gateway.QueryGateway` shards. On the hot path it
-does exactly three O(1)-in-tenant-count things per submission: look the
-tenant up in a bounded route cache (falling back to the directory's
-O(log vnodes) ring lookup on a miss), offer the query to the routed
-shard with the route's epoch, and — if the shard's fence has advanced
-because a rebalance superseded the route — refresh from the directory
-and retry once. The retry loop is bounded: the router is the only
-mutator of the directory and re-syncs every live shard's fence after
-each mutation, so a freshly fetched route is never stale.
+does exactly three O(1)-in-tenant-count things per submission, all in
+:meth:`ShardRouter.admit`: look the tenant up in a bounded route cache
+(falling back to the directory's O(log vnodes) ring lookup on a miss),
+compare the route's epoch with the routed shard's fence, and — if the
+fence has advanced because a rebalance superseded the route — refresh
+from the directory once. The refresh is bounded: the router is the
+only mutator of the directory and re-syncs every live shard's fence
+after each mutation, so a freshly fetched route is never stale. The
+offer then carries the route's epoch, so the gateway's own fence
+stays a backstop.
 
 The control plane (``split_shard`` / ``merge_shard`` / ``fail_shard``
 / ``add_shard``) keeps the admitted-work invariant: whenever a shard
@@ -25,7 +27,7 @@ import math
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from repro.serve.gateway import QueryGateway, StaleEpoch, Tenant
+from repro.serve.gateway import QueryGateway, Tenant
 from repro.shard.directory import PartitionDirectory, Route
 from repro.shard.metrics import FleetMetrics, ShardMetrics
 from repro.telemetry import get_recorder
@@ -129,31 +131,46 @@ class ShardRouter:
         self._routes[tenant] = route
         return route
 
-    def submit(self, tenant: str, plan: Any):
-        """Route one query; returns the queued request or ``None`` if shed.
+    def admit(self, tenant: str) -> tuple[str, Route]:
+        """The data plane: resolve one admission's route, fenced.
 
-        Cost per call is O(1) in the number of tenants: a cache probe,
-        one gateway offer, and — only when a rebalance raced the cached
-        route — a single directory refresh and retry.
+        Probes the route cache, compares the route's epoch with the
+        routed shard's fence and — only when a rebalance raced the
+        cached route — refreshes from the directory once. Counts the
+        submission, the stale retry, and the load window. Returns the
+        shard the cached route named (where a stale route was caught)
+        and the fresh route the offer must go to.
+
+        :meth:`submit`, :meth:`offer_external`, and the replay kernel's
+        trace walk all route through here; nothing else touches the
+        cache or the fences on the hot path.
         """
         self.submits += 1
         route = self.route(tenant)
-        for _ in range(2):
-            gateway = self.gateways[route.shard]
-            try:
-                request = gateway.submit(tenant, plan, epoch=route.epoch)
-            except StaleEpoch:
-                self.stale_retries += 1
-                if self._telemetry is not None:
-                    self._stale_counter.inc()
-                route = self._refresh(tenant)
-                continue
-            self._window[route.shard] += 1
+        first = route.shard
+        if route.epoch != self.gateways[first].epoch:
+            self.stale_retries += 1
             if self._telemetry is not None:
-                self._submit_counter.inc()
-            return request
-        raise RuntimeError(
-            f"route of tenant {tenant!r} stale after directory refresh")
+                self._stale_counter.inc()
+            route = self._refresh(tenant)
+            if route.epoch != self.gateways[route.shard].epoch:
+                raise RuntimeError(
+                    f"route of tenant {tenant!r} stale after directory "
+                    f"refresh")
+        self._window[route.shard] += 1
+        if self._telemetry is not None:
+            self._submit_counter.inc()
+        return first, route
+
+    def submit(self, tenant: str, plan: Any):
+        """Route one query; returns the queued request or ``None`` if shed.
+
+        Cost per call is O(1) in the number of tenants: one
+        :meth:`admit` and one gateway offer on the fenced route.
+        """
+        route = self.admit(tenant)[1]
+        return self.gateways[route.shard].submit(tenant, plan,
+                                                 epoch=route.epoch)
 
     def offer_external(self, tenant: str) -> Optional[Callable[[], None]]:
         """Admit one unit of external work (e.g. a futures job).
@@ -162,22 +179,9 @@ class ShardRouter:
         :meth:`~repro.serve.gateway.QueryGateway.offer_external`;
         returns the release callable, or ``None`` when shed.
         """
-        self.submits += 1
-        route = self.route(tenant)
-        for _ in range(2):
-            gateway = self.gateways[route.shard]
-            try:
-                release = gateway.offer_external(tenant, epoch=route.epoch)
-            except StaleEpoch:
-                self.stale_retries += 1
-                if self._telemetry is not None:
-                    self._stale_counter.inc()
-                route = self._refresh(tenant)
-                continue
-            self._window[route.shard] += 1
-            return release
-        raise RuntimeError(
-            f"route of tenant {tenant!r} stale after directory refresh")
+        route = self.admit(tenant)[1]
+        return self.gateways[route.shard].offer_external(
+            tenant, epoch=route.epoch)
 
     # -- rebalancer signals ------------------------------------------------
 

@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.flight import verify_bundle
-from repro.obs.scenario import obs_smoke, run_obs_replay
-from repro.shard.replay import ReplayConfig, run_replay
+from repro.obs.plane import ReplayObsPlane
+from repro.obs.scenario import (
+    ObsReplayResult,
+    _run_config_dict,
+    obs_smoke,
+    run_obs_replay,
+)
+from repro.shard.replay import ReplayConfig, run_replay, run_replay_reference
 from repro.telemetry import recording
 
 
@@ -47,24 +53,32 @@ class TestOutcomeNeutrality:
             run_replay(config).digest()
 
 
-class TestParallelEquivalence:
-    def test_parallel_kernel_preserves_the_observed_digest(self):
+def observed_by_reference(config: ReplayConfig) -> ObsReplayResult:
+    """``run_obs_replay``, but driven by the event-at-a-time oracle."""
+    plane = ReplayObsPlane(None, run_config=_run_config_dict(config))
+    result = run_replay_reference(config, observer=plane)
+    return ObsReplayResult(
+        replay=result, slo=plane.slo_report(config.window_s),
+        sampling=plane.sampler.summary(), incidents=plane.flight.incidents,
+        alerts_fired=len(plane.engine.alerts))
+
+
+class TestReferenceEquivalence:
+    def test_kernel_preserves_the_observed_digest(self):
         """The whole observed outcome — replay, SLO report, sampling,
-        incident bundles — survives the shard-parallel merge intact."""
+        incident bundles — survives the kernel's tagged merge intact."""
         config = tiny_config()
-        sequential = run_obs_replay(config)
-        for workers in (0, 2):
-            parallel = run_obs_replay(config, parallel=True,
-                                      workers=workers)
-            assert parallel.to_json() == sequential.to_json()
-            assert parallel.digest() == sequential.digest()
+        kernel = run_obs_replay(config)
+        reference = observed_by_reference(config)
+        assert kernel.to_json() == reference.to_json()
+        assert kernel.digest() == reference.digest()
 
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=3, deadline=None)
-    def test_parallel_equivalence_across_seeds(self, seed):
+    def test_reference_equivalence_across_seeds(self, seed):
         config = tiny_config(seed=seed)
-        assert run_obs_replay(config, parallel=True).digest() == \
-            run_obs_replay(config).digest()
+        assert run_obs_replay(config).digest() == \
+            observed_by_reference(config).digest()
 
 
 class TestDeterminism:

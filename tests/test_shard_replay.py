@@ -1,5 +1,8 @@
 """Replay tests: determinism, conservation, failure recovery, O(1) proof."""
 
+import dataclasses
+import signal
+
 import pytest
 
 from repro.shard import ReplayConfig, run_replay, run_unsharded_replay
@@ -130,8 +133,57 @@ class TestScanGuard:
             assert guard.full_scans == 0, label
 
 
+class _Hung(Exception):
+    pass
+
+
+def _within(seconds: int, call):
+    """Run ``call``; raise :class:`_Hung` if it outlives ``seconds``."""
+    def expire(signum, frame):
+        raise _Hung(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestConfig:
     def test_smoke_variant_meets_the_gate_floor(self):
         smoke = ReplayConfig().smoke()
         assert smoke.tenants >= 100_000
         assert smoke.fail_at and smoke.fault_plan
+
+    @pytest.mark.parametrize("name, value", [
+        ("shards", 0),
+        ("slots_per_shard", 0),
+        ("control_interval_s", 0.0),
+        ("control_interval_s", -30.0),
+    ])
+    def test_bad_field_raises_value_error_naming_it(self, name, value):
+        """Bad configs fail at construction, naming the field.
+
+        Unvalidated, ``control_interval_s <= 0`` and ``slots_per_shard=0``
+        hang the replay and ``shards=0`` escapes as a bare
+        ``LookupError`` from the ring — hence the deadline.
+        """
+        def build_and_run():
+            run_replay(dataclasses.replace(SMALL, **{name: value}))
+
+        with pytest.raises(ValueError, match=name):
+            _within(20, build_and_run)
+
+    def test_smoke_keeps_every_unchanged_field(self):
+        """``smoke()`` overrides its own fields and no others."""
+        base = dataclasses.replace(SMALL, seed=11, zipf_s=1.1)
+        smoke = base.smoke()
+        changed = {f.name for f in dataclasses.fields(ReplayConfig)
+                   if getattr(smoke, f.name) != getattr(base, f.name)}
+        assert changed == {"tenants", "events", "window_s", "fail_at",
+                           "control_interval_s"}
+        assert smoke.fault_plan == "shard-failure"
+
+
