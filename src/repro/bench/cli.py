@@ -63,6 +63,7 @@ def run_bench(args) -> int:
         save_baseline,
     )
     from repro.bench.scenarios import SCENARIOS
+    from repro.telemetry.export import CorruptJSONError
 
     if args.compare is not None:
         before_path, after_path = args.compare
@@ -71,8 +72,13 @@ def run_bench(args) -> int:
                 print(f"repro bench --compare: no such file: {path}",
                       file=sys.stderr)
                 return 2
+        try:
+            before, after = load_baseline(before_path), load_baseline(after_path)
+        except CorruptJSONError as exc:
+            print(f"repro bench --compare: error: {exc}", file=sys.stderr)
+            return 2
         table = format_comparison(
-            load_baseline(before_path), load_baseline(after_path),
+            before, after,
             before_name=before_path.stem, after_name=after_path.stem)
         print(table)
         return 1 if "DRIFTED" in table else 0
@@ -84,7 +90,11 @@ def run_bench(args) -> int:
               f"choose from {sorted(SCENARIOS)}", file=sys.stderr)
         return 2
 
-    baseline = load_baseline(args.file)
+    try:
+        baseline = load_baseline(args.file)
+    except CorruptJSONError as exc:
+        print(f"repro bench: error: {exc}", file=sys.stderr)
+        return 2
     try:
         results = run_scenarios(names, smoke=args.smoke,
                                 count_calls=not args.no_calls)

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.bench.scenarios import SCENARIOS, Scenario
 from repro.telemetry import canonical_json
+from repro.telemetry.export import read_json
 
 #: Slot names a measurement can be recorded under in the baseline file.
 SLOTS = ("before", "after")
@@ -101,11 +102,14 @@ def run_scenarios(names: Optional[list[str]] = None, smoke: bool = False,
 # -- baseline file ------------------------------------------------------------
 
 def load_baseline(path: Path) -> dict:
-    """Parse the committed BENCH_*.json, or an empty skeleton."""
-    import json
+    """Parse the committed BENCH_*.json, or an empty skeleton.
+
+    A file that does not parse raises
+    :class:`~repro.telemetry.export.CorruptJSONError`.
+    """
     if not path.exists():
         return {"schema": 1, "scenarios": {}}
-    return json.loads(path.read_text())
+    return read_json(path)
 
 
 def record(baseline: dict, results: dict, slot: str, smoke: bool) -> dict:

@@ -12,13 +12,12 @@ tightening without first fixing the whole tree.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.lint.framework import Finding
-from repro.telemetry.export import canonical_json
+from repro.telemetry.export import canonical_json, read_json
 
 BASELINE_VERSION = 1
 
@@ -35,10 +34,14 @@ class Baseline:
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
+        """Read a baseline file; a missing file is an empty baseline.
+
+        A file that does not parse raises
+        :class:`~repro.telemetry.export.CorruptJSONError`.
+        """
         if not path.exists():
             return cls()
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = read_json(path)
         if data.get("version") != BASELINE_VERSION:
             raise ValueError(
                 f"unsupported baseline version {data.get('version')!r} "

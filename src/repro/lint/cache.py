@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Optional
 
 from repro.lint.framework import Finding, Suppression
+from repro.telemetry.export import read_json
 
 CACHE_VERSION = 1
 
@@ -73,9 +75,13 @@ class LintCache:
         if not self.path.exists():
             return
         try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return  # corrupt cache == cold cache
+            data = read_json(self.path)
+        except (OSError, ValueError) as error:
+            # A corrupt cache is a cold cache. Say so on stderr only:
+            # stdout must not depend on the cache's state.
+            print(f"repro lint: ignoring unreadable cache ({error})",
+                  file=sys.stderr)
+            return
         if data.get("version") != CACHE_VERSION \
                 or data.get("fingerprint") != self.fingerprint:
             return

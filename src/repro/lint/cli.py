@@ -194,7 +194,11 @@ def run_lint(args) -> int:
               f"{baseline_path}")
         return 0
 
-    baseline = Baseline.load(baseline_path)
+    try:
+        baseline = Baseline.load(baseline_path)
+    except ValueError as exc:  # corrupt file or unsupported version
+        print(f"repro lint: error: {exc}", file=sys.stderr)
+        return 2
     new, accepted, stale = diff_against_baseline(findings, baseline)
     lnt = [f for f in new if f.check.startswith("LNT")]
 

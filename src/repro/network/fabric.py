@@ -199,6 +199,9 @@ class Fabric:
         self._states: dict[int, _ConstraintState] = {}
         #: Constraint keys whose component needs reallocating.
         self._dirty: set[int] = set()
+        #: Flows the last :meth:`sync_now` found complete, for the update
+        #: that issued it.
+        self._completed: list[Flow] = []
         #: Testing hook: force from-scratch recomputation on every
         #: update (the reference the incremental path must match).
         self._force_full = False
@@ -249,22 +252,49 @@ class Fabric:
 
         Rates are *not* recomputed; use this before reading
         ``flow.transferred`` or shaper levels from a probe.
+
+        This is also the first half of every fabric update, so the same
+        two loops take stock for the rest of it: the flow loop collects
+        the flows now within :data:`_EPSILON_BYTES` of their size, and the
+        shaper loop marks dirty every shaper whose ``allowed_rate()`` no
+        longer equals the capacity of the last allocation. Both checks
+        run even when no time has passed: a ``degrade()`` at the instant
+        of an update needs the drift check, and a probe's own call just
+        before a completion's wake leaves that completion to the wake's
+        zero-elapsed call.
         """
         now = self.env.now
         elapsed = now - self._last_sync
-        if elapsed <= 0:
-            return
-        for flow in self._flows:
-            flow.transferred += flow.rate * elapsed
-        if self._ordered_sync:
+        completed: list[Flow] = []
+        if elapsed > 0:
+            for flow in self._flows:
+                transferred = flow.transferred + flow.rate * elapsed
+                flow.transferred = transferred
+                size = flow.size
+                if size is not None and size - transferred <= _EPSILON_BYTES:
+                    completed.append(flow)
+            self._last_sync = now
+        else:
+            elapsed = 0.0
+            for flow in self._flows:
+                size = flow.size
+                if (size is not None
+                        and size - flow.transferred <= _EPSILON_BYTES):
+                    completed.append(flow)
+        self._completed = completed
+        ordered = self._ordered_sync
+        if ordered and elapsed:
             for shaper, rate in self._shaper_consumption().items():
                 shaper.advance(now, elapsed, rate)
-        else:
-            for state in self._states.values():
-                if state.is_shaper:
-                    state.constraint.advance(now, elapsed,
-                                             state.consumption)
-        self._last_sync = now
+        advance = elapsed and not ordered
+        dirty = self._dirty
+        for key, state in self._states.items():
+            if state.is_shaper:
+                shaper = state.constraint
+                if advance:
+                    shaper.advance(now, elapsed, state.consumption)
+                if shaper.allowed_rate() != state.capacity:
+                    dirty.add(key)
 
     def total_rate(self) -> float:
         """Aggregate rate of all active flows right now (bytes/s)."""
@@ -290,6 +320,8 @@ class Fabric:
             # Crosses no finite constraint: the free rate, immediately
             # (exactly what a one-flow fill with no constraints grants).
             flow.rate = self.default_rate
+        if flow.size is not None and flow.size <= _EPSILON_BYTES:
+            self._completed.append(flow)
         self._update()
         return flow
 
@@ -328,14 +360,22 @@ class Fabric:
         flow.done.succeed(flow)
 
     def _update(self) -> None:
-        """Sync, complete finished flows, recompute rates, schedule wake."""
-        self.sync_now()
-        completed = [flow for flow in self._flows
-                     if flow.remaining <= _EPSILON_BYTES]
-        for flow in completed:
-            if flow.size is not None:
-                flow.transferred = flow.size
-            self._finish(flow)
+        """Complete finished flows, recompute rates, schedule the wake.
+
+        The second half of an update: the caller has just run
+        :meth:`sync_now`, which collected the completions and marked the
+        drifted shapers. Same-update completions finish in creation
+        order, so their ``done`` events fire in that order.
+        """
+        completed = self._completed
+        if completed:
+            self._completed = []
+            completed.sort(key=lambda f: f.id)
+            for flow in completed:
+                # stop_flow may already have finished it.
+                if flow.finished_at is None:
+                    flow.transferred = flow.size
+                    self._finish(flow)
         if self._force_full:
             self._recompute_rates()
         else:
@@ -348,17 +388,14 @@ class Fabric:
         Dirty seeds are constraints whose membership changed since the
         last allocation plus shapers whose ``allowed_rate()`` drifted
         from the capacity used then (budget exhaustion, grant arrival,
-        idle refill, chaos degradation). The affected region is the
+        idle refill, chaos degradation; :meth:`sync_now` marks those).
+        The affected region is the
         union of the connected components containing a seed; everything
         outside it kept both its membership and its capacities, so its
         previous rates are exactly what a full recompute would produce.
         """
         states = self._states
         dirty = self._dirty
-        for key, state in states.items():
-            if (state.is_shaper
-                    and state.constraint.allowed_rate() != state.capacity):
-                dirty.add(key)
         if not dirty:
             return
         self._dirty = set()
@@ -479,21 +516,25 @@ class Fabric:
         # Flow completions.
         for flow in self._flows:
             rate = flow.rate
-            if flow.size is not None and rate > 0:
-                upcoming = now + max(0.0, flow.size - flow.transferred) / rate
+            size = flow.size
+            if size is not None and rate > 0:
+                left = size - flow.transferred
+                upcoming = now + (left if left > 0.0 else 0.0) / rate
                 if upcoming < wake_at:
                     wake_at = upcoming
         # Shaper state changes.
         if self._ordered_sync:
-            shaper_rates = self._shaper_consumption().items()
+            for shaper, rate in self._shaper_consumption().items():
+                upcoming = shaper.next_change(now, rate)
+                if upcoming < wake_at:
+                    wake_at = upcoming
         else:
-            shaper_rates = ((state.constraint, state.consumption)
-                            for state in self._states.values()
-                            if state.is_shaper)
-        for shaper, rate in shaper_rates:
-            upcoming = shaper.next_change(now, rate)
-            if upcoming < wake_at:
-                wake_at = upcoming
+            for state in self._states.values():
+                if state.is_shaper:
+                    upcoming = state.constraint.next_change(
+                        now, state.consumption)
+                    if upcoming < wake_at:
+                        wake_at = upcoming
         self._wake_version += 1
         if wake_at == float("inf"):
             return
@@ -505,4 +546,5 @@ class Fabric:
     def _on_wake(self, version: int) -> None:
         if version != self._wake_version:
             return  # superseded by a newer recomputation
+        self.sync_now()
         self._update()

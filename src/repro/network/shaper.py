@@ -39,6 +39,8 @@ _EPSILON_BYTES = 1e-3
 #: Tolerance when comparing simulated timestamps (seconds).
 _TIME_TOLERANCE = 1e-9
 
+_INF = float("inf")
+
 #: Minimum idle duration before the "refill halfway" behaviour applies.
 #: Back-to-back requests with millisecond gaps do not count as the
 #: function "stopping to utilize the network" (Section 4.2.1); the
@@ -90,6 +92,10 @@ class TokenBucketShaper:
         #: Absolute time of the next quantized grant (stateful, to avoid
         #: float-grid mismatches between scheduling and accounting).
         self._next_grant_at = self.grant_interval
+        #: How far :meth:`_next_grant_time` has walked the schedule from
+        #: ``_next_grant_at`` (reset whenever a grant is consumed).
+        self._grant_walk = self._next_grant_at
+        self._quantized = mode == "quantized"
         #: When the shaper last went idle (None while active).
         self._idle_since: float | None = None
         # Telemetry is captured at construction: enable() must precede
@@ -105,7 +111,7 @@ class TokenBucketShaper:
                 f"{label}.allowed_rate", min_dt=_SAMPLE_MIN_DT)
             self._throttle_counter = recorder.counter(
                 "shaper.throttle_transitions")
-            self._was_throttled = self.budget <= 0
+            self._was_throttled = self.one_off_remaining + self._level <= 0
         else:
             self._telemetry = None
             self.telemetry_name = name or mode
@@ -117,11 +123,6 @@ class TokenBucketShaper:
         """Tokens currently in the rechargeable bucket (bytes)."""
         return self._level
 
-    @property
-    def budget(self) -> float:
-        """Total immediately spendable bytes (one-off + bucket)."""
-        return self.one_off_remaining + self._level
-
     def state(self) -> ShaperState:
         """Return a snapshot for assertions in tests."""
         return ShaperState(level=self._level,
@@ -129,14 +130,23 @@ class TokenBucketShaper:
                            mode=self.mode)
 
     # -- fabric interface ---------------------------------------------------
+    #
+    # The fabric calls these once per registered shaper per update, so
+    # they are written flat: the spendable budget is the literal sum
+    # ``one_off_remaining + _level``, and builtin ``min(a, b)`` /
+    # ``max(a, b)`` are spelled as the compare-selects CPython evaluates
+    # them to (``b if b < a else a`` / ``b if b > a else a``), which return
+    # the same float in every case.
 
     def allowed_rate(self) -> float:
         """Aggregate rate ceiling right now (bytes/second)."""
-        if self.budget > 0:
+        if self.one_off_remaining + self._level > 0:
             return self.burst_rate
-        if self.mode == "continuous":
-            return min(self.refill_rate, self.burst_rate)
-        return 0.0  # quantized: stalled until the next grant
+        if self._quantized:
+            return 0.0  # stalled until the next grant
+        burst = self.burst_rate
+        refill = self.refill_rate
+        return burst if burst < refill else refill
 
     def advance(self, now: float, elapsed: float, consumed_rate: float) -> None:
         """Account for ``elapsed`` seconds of consumption at ``consumed_rate``.
@@ -149,30 +159,31 @@ class TokenBucketShaper:
         if elapsed == 0:
             return
         consumed = consumed_rate * elapsed
-        if self.mode == "continuous":
-            refilled = self.refill_rate * elapsed
-            # One-off budget is spent first and never refills.
-            from_one_off = min(consumed, self.one_off_remaining)
-            self.one_off_remaining -= from_one_off
-            net = (consumed - from_one_off) - refilled
-            self._level = min(self.capacity, max(0.0, self._level - net))
+        # One-off budget is spent first and never refills.
+        one_off = self.one_off_remaining
+        from_one_off = one_off if one_off < consumed else consumed
+        one_off -= from_one_off
+        if self._quantized:
+            if (self.refill_rate > 0
+                    and self._next_grant_at <= now + _TIME_TOLERANCE):
+                grants = self._grants_between(now - elapsed, now)
+            else:
+                grants = 0.0
+            level = self._level + grants - (consumed - from_one_off)
         else:
-            grants = self._grants_between(now - elapsed, now)
-            from_one_off = min(consumed, self.one_off_remaining)
-            self.one_off_remaining -= from_one_off
-            remaining = consumed - from_one_off
-            self._level = min(self.capacity,
-                              max(0.0, self._level + grants - remaining))
+            level = self._level - ((consumed - from_one_off)
+                                   - self.refill_rate * elapsed)
+        level = level if level > 0.0 else 0.0
+        capacity = self.capacity
+        level = level if level < capacity else capacity
         # Clamp float residue so exhaustion is reached exactly, not
         # asymptotically (which would flood the fabric with micro-wakeups).
-        if self._level < _EPSILON_BYTES:
-            self._level = 0.0
-        if self.one_off_remaining < _EPSILON_BYTES:
-            self.one_off_remaining = 0.0
+        self._level = 0.0 if level < _EPSILON_BYTES else level
+        self.one_off_remaining = 0.0 if one_off < _EPSILON_BYTES else one_off
         if self._telemetry is not None:
             self._level_series.sample(now, self._level)
             self._rate_series.sample(now, self.allowed_rate())
-            throttled = self.budget <= 0
+            throttled = self.one_off_remaining + self._level <= 0
             if throttled != self._was_throttled:
                 self._was_throttled = throttled
                 self._throttle_counter.value += 1
@@ -197,6 +208,8 @@ class TokenBucketShaper:
         count = 1 + math.floor(
             (end + _TIME_TOLERANCE - self._next_grant_at) / self.grant_interval)
         self._next_grant_at += count * self.grant_interval
+        # The schedule moved: the next-grant walk restarts from it.
+        self._grant_walk = self._next_grant_at
         return count * quantum
 
     def next_change(self, now: float, consumed_rate: float) -> float:
@@ -205,28 +218,43 @@ class TokenBucketShaper:
         Returns ``inf`` if the ceiling is stable under the given
         consumption rate.
         """
-        if self.budget > 0:
-            if self.mode == "continuous":
+        budget = self.one_off_remaining + self._level
+        if not self._quantized:
+            if budget > 0:
                 net_drain = consumed_rate - self.refill_rate
-            else:
-                net_drain = consumed_rate  # grants are discrete, handled below
-            if net_drain > 0:
-                exhaust = now + self.budget / net_drain
-            else:
-                exhaust = float("inf")
-            if self.mode == "quantized":
-                return min(exhaust, self._next_grant_time(now))
-            return exhaust
-        if self.mode == "quantized":
-            return self._next_grant_time(now)
-        return float("inf")
+                if net_drain > 0:
+                    return now + budget / net_drain
+            return _INF
+        # Quantized: grants are discrete, so the ceiling changes at the
+        # next grant or, while tokens remain, when they run out.
+        if self.refill_rate <= 0:
+            grant = _INF
+        else:
+            grant = self._grant_walk
+            if grant <= now + _TIME_TOLERANCE:
+                grant = self._next_grant_time(now)
+        if budget > 0 and consumed_rate > 0:
+            exhaust = now + budget / consumed_rate
+            return grant if grant < exhaust else exhaust
+        return grant
 
     def _next_grant_time(self, now: float) -> float:
+        """First grant due strictly after ``now`` (beyond the tolerance).
+
+        Walks the schedule forward one ``grant_interval`` at a time and
+        keeps the walked value, so the next call resumes from it rather
+        than from ``_next_grant_at``: the repeated sum, and hence every
+        float, is the same. ``now`` must not decrease between calls
+        while the schedule stands (the simulated clock never does).
+        """
         if self.refill_rate <= 0:
-            return float("inf")
-        due = self._next_grant_at
-        while due <= now + _TIME_TOLERANCE:
-            due += self.grant_interval
+            return _INF
+        due = self._grant_walk
+        horizon = now + _TIME_TOLERANCE
+        interval = self.grant_interval
+        while due <= horizon:
+            due += interval
+        self._grant_walk = due
         return due
 
     def degrade(self, factor: float) -> None:

@@ -18,6 +18,7 @@ rows while a worker's phases nest inside it.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Optional
 
 
@@ -45,6 +46,36 @@ def canonical_json(obj) -> str:
     round field-by-field stay byte-identical.
     """
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+class CorruptJSONError(ValueError):
+    """A JSON file on disk that does not parse.
+
+    Carries the file and where parsing stopped (``lineno``, ``colno``
+    and the character offset ``pos``), so a corrupt baseline or cache
+    names itself instead of surfacing as a bare decode error.
+    """
+
+    def __init__(self, path: Path, error: json.JSONDecodeError) -> None:
+        self.path = Path(path)
+        self.lineno = error.lineno
+        self.colno = error.colno
+        self.pos = error.pos
+        super().__init__(
+            f"{path}: corrupt JSON at line {error.lineno} column "
+            f"{error.colno} (char {error.pos}): {error.msg}")
+
+
+def read_json(path: Path):
+    """Parse the JSON file at ``path``.
+
+    Raises :class:`CorruptJSONError` if the file does not parse.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise CorruptJSONError(path, error) from None
 
 
 # -- metrics snapshot ---------------------------------------------------------

@@ -78,6 +78,23 @@ class TestBenchCompare:
         assert main(["bench", "--compare", str(real), str(missing)]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_corrupt_baseline_raises_typed_error(self, tmp_path, capsys):
+        from repro.bench.harness import load_baseline
+        from repro.telemetry.export import CorruptJSONError
+
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text('{"schema": 2,\n "scenarios": {oops}}')
+        with pytest.raises(CorruptJSONError) as caught:
+            load_baseline(corrupt)
+        assert isinstance(caught.value, ValueError)
+        assert caught.value.path == corrupt
+        assert (caught.value.lineno, caught.value.colno) == (2, 16)
+        assert str(corrupt) in str(caught.value)
+        assert "line 2 column 16" in str(caught.value)
+        # The CLI reports it as a usage error, not a traceback.
+        assert main(["bench", "--compare", str(corrupt), str(corrupt)]) == 2
+        assert "corrupt JSON at line 2" in capsys.readouterr().err
+
     def test_committed_baselines_compare_clean(self, capsys):
         """The committed PR 7 -> PR 10 recordings must never drift."""
         assert main(["bench", "--compare",

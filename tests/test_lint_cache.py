@@ -129,6 +129,22 @@ class TestCliCacheStates:
         outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_corrupt_cache_is_noted_on_stderr_only(self, tree, capsys):
+        assert main(["lint", "src", "--no-cache"]) == 0
+        uncached = capsys.readouterr()
+        assert uncached.err == ""
+        (tree / ".repro-lint-cache.json").write_text("{definitely not json")
+        assert main(["lint", "src"]) == 0
+        corrupt = capsys.readouterr()
+        assert corrupt.out == uncached.out
+        note = corrupt.err.splitlines()
+        assert len(note) == 1
+        assert note[0].startswith("repro lint: ignoring unreadable cache (")
+        assert "corrupt JSON at line 1 column 2" in note[0]
+        # The run rewrote the cache: the next one is warm and silent.
+        assert main(["lint", "src"]) == 0
+        assert capsys.readouterr() == (uncached.out, "")
+
     def test_time_budget_gate(self, tree, capsys):
         assert main(["lint", "src", "--max-seconds", "60"]) == 0
         capsys.readouterr()

@@ -148,6 +148,20 @@ class TestBaseline:
         with pytest.raises(ValueError, match="unsupported baseline version"):
             Baseline.load(path)
 
+    def test_corrupt_file_raises_typed_error(self, tmp_path):
+        from repro.telemetry.export import CorruptJSONError
+
+        path = tmp_path / "baseline.json"
+        path.write_text('{"version": 1, "findings": [}')
+        with pytest.raises(CorruptJSONError) as caught:
+            Baseline.load(path)
+        assert isinstance(caught.value, ValueError)
+        assert caught.value.path == path
+        assert (caught.value.lineno, caught.value.colno,
+                caught.value.pos) == (1, 29, 28)
+        assert f"{path}: corrupt JSON at line 1 column 29 (char 28)" in str(
+            caught.value)
+
     def test_diff_ignores_line_numbers(self):
         baseline = Baseline.from_findings([make_finding(line=10)])
         new, accepted, stale = diff_against_baseline(

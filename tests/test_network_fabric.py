@@ -243,3 +243,158 @@ class TestProbe:
         fabric.sync_now()
         # Transferred can never exceed initial bucket + refill over time.
         assert flow.transferred <= 50.0 + 10.0 * 2.0 + 1e-6
+
+
+class TestFinishOrder:
+    def test_equal_flows_on_one_link_finish_in_creation_order(self):
+        """Flows that complete in the same update fire ``done`` in
+        creation order, whatever their set or address order."""
+        env, fabric = make_env()
+        link = fabric.link(capacity=800.0)
+        order = []
+        flows = []
+        for i in range(8):
+            flow = fabric.transfer(fabric.endpoint(f"s{i}"),
+                                   fabric.endpoint(f"d{i}"),
+                                   size=100.0, links=(link,))
+            flow.done.callbacks.append(
+                lambda event: order.append(event.value.id))
+            flows.append(flow)
+        env.run()
+        assert len({flow.finished_at for flow in flows}) == 1
+        assert order == [flow.id for flow in flows]
+
+    def test_transfer_within_epsilon_completes_on_arrival(self):
+        env, fabric = make_env()
+        link = fabric.link(capacity=100.0)
+        flow = fabric.transfer(fabric.endpoint("s"), fabric.endpoint("d"),
+                               size=1e-6, links=(link,))
+        assert flow.finished_at == 0.0
+        assert flow.transferred == 1e-6
+        assert not fabric._flows and not fabric._states
+
+    def test_same_instant_degrade_reaches_the_next_arrival(self):
+        """A ``degrade()`` between two same-instant updates is seen by
+        the second one, although no time passed and the arrival crosses
+        another shaper."""
+        env, fabric = make_env()
+
+        def endpoint(name):
+            return fabric.endpoint(name, ingress=TokenBucketShaper(
+                capacity=1e3, burst_rate=100.0, refill_rate=10.0))
+
+        degraded = endpoint("fn0")
+        first = fabric.open_flow(fabric.endpoint("a"), degraded)
+        assert first.rate == 100.0
+        degraded.ingress.degrade(0.5)
+        second = fabric.open_flow(fabric.endpoint("b"), endpoint("fn1"))
+        assert (first.rate, second.rate) == (50.0, 100.0)
+
+    def test_probe_sync_at_the_completion_instant_does_not_delay_it(self):
+        """An outside ``sync_now`` at the instant a flow completes leaves
+        the completion to the update that follows at the same instant."""
+        env, fabric = make_env()
+        link = fabric.link(capacity=100.0)
+        flows = []
+
+        def probe():
+            yield env.timeout(1.0)
+            fabric.sync_now()
+
+        def sender():
+            flows.append(fabric.transfer(fabric.endpoint("s"),
+                                         fabric.endpoint("d"),
+                                         size=100.0, links=(link,)))
+            yield flows[0].done
+
+        env.process(probe())  # its timeout fires before the flow's wake
+        env.process(sender())
+        env.run()
+        assert flows[0].finished_at == 1.0
+
+
+class TestFabricWorkCounters:
+    """The fused update's work, pinned as exact counters.
+
+    A deterministic Lambda burst: 40 staggered transfers from one
+    storage endpoint, each into its own Lambda function, so each flow
+    crosses one shaper. Every fabric update costs exactly one
+    ``sync_now``, one ``advance`` per registered shaper (when time has
+    passed) and one ``next_change`` per registered shaper.
+    """
+
+    N_FLOWS = 40
+    #: Updates, zero-elapsed updates and call counts of the burst. A
+    #: change that moves them changes the fabric's work per update.
+    PINNED = (109, 1, {"sync": 109, "advance": 741, "next_change": 741})
+
+    def run_burst(self):
+        env, fabric = make_env()
+        storage = fabric.endpoint("s3")
+        log = []
+
+        def registered():
+            return sorted(id(state.constraint)
+                          for state in fabric._states.values()
+                          if state.is_shaper)
+
+        def counted(name, original, snapshot=None):
+            def wrapper(*args):
+                entry = (name, snapshot()) if snapshot else (name,)
+                log.append(entry)
+                return original(*args)
+            return wrapper
+
+        fabric.sync_now = counted(
+            "sync", fabric.sync_now,
+            lambda: (env.now > fabric._last_sync, registered()))
+        fabric._update = counted("update", fabric._update)
+        fabric._schedule_wake = counted("wake", fabric._schedule_wake,
+                                        registered)
+        shapers = []
+        for i in range(self.N_FLOWS):
+            shaper = lambda_shaper("in", name=f"fn{i}")
+            for method in ("advance", "next_change"):
+                setattr(shaper, method, counted(
+                    method, getattr(shaper, method),
+                    lambda shaper=shaper: id(shaper)))
+            shapers.append(shaper)
+
+        def start(i):
+            yield env.timeout(0.013 * i)
+            fn = fabric.endpoint(f"fn{i}", ingress=shapers[i])
+            yield fabric.transfer(storage, fn,
+                                  size=(10 + 9 * i) * units.MiB).done
+
+        for i in range(self.N_FLOWS):
+            env.process(start(i), name=f"fn{i}")
+        env.run()
+        return log
+
+    def test_one_sync_and_one_call_per_shaper_per_update(self):
+        log = self.run_burst()
+        updates = [i for i, entry in enumerate(log) if entry[0] == "update"]
+        syncs = [i for i, entry in enumerate(log) if entry[0] == "sync"]
+        assert len(syncs) == len(updates)
+        previous_end = 0
+        zero_elapsed = 0
+        for sync, update in zip(syncs, updates):
+            # Exactly one sync opens each update.
+            assert previous_end <= sync < update
+            _, (elapsed, at_sync) = log[sync]
+            advanced = sorted(entry[1] for entry in log[sync + 1:update])
+            assert all(entry[0] == "advance" for entry in log[sync + 1:update])
+            assert advanced == (at_sync if elapsed else [])
+            zero_elapsed += not elapsed
+            wake = update + 1
+            assert log[wake][0] == "wake"
+            end = wake + 1
+            while end < len(log) and log[end][0] == "next_change":
+                end += 1
+            assert sorted(entry[1] for entry in log[wake + 1:end]) == \
+                log[wake][1]
+            previous_end = end
+        assert previous_end == len(log)
+        counts = {name: sum(entry[0] == name for entry in log)
+                  for name in ("sync", "advance", "next_change")}
+        assert (len(updates), zero_elapsed, counts) == self.PINNED

@@ -110,6 +110,18 @@ class TestQuantizedShaper:
         assert shaper._grants_between(0.1, 0.35) == pytest.approx(0.0)
         assert shaper._grants_between(0.35, 0.45) == pytest.approx(1.0)
 
+    def test_grant_walk_is_kept_until_a_grant_is_consumed(self):
+        """``next_change`` resumes the schedule walk where the last call
+        stopped; ``advance`` restarts it when it consumes a grant."""
+        shaper = lambda_shaper("in")
+        first = shaper.next_change(now=44.0, consumed_rate=0.0)
+        assert 44.0 < first < 44.1 + 1e-6
+        assert shaper._grant_walk == first
+        assert shaper.next_change(now=44.0, consumed_rate=0.0) == first
+        shaper.advance(now=44.05, elapsed=0.05, consumed_rate=0.0)
+        assert shaper._next_grant_at > 44.05
+        assert shaper._grant_walk == shaper._next_grant_at
+
     def test_next_grant_time_is_strictly_future(self):
         shaper = self.make()
         boundary = shaper._next_grant_time(now=0.09)
@@ -168,7 +180,8 @@ class TestCalibratedFactories:
         assert shaper.one_off_remaining == LAMBDA_ONE_OFF_BUDGET
         assert shaper.level == LAMBDA_BUCKET_CAPACITY
         # Total initial budget of ~300 MiB (Section 4.2.1).
-        assert shaper.budget == pytest.approx(300 * units.MiB)
+        assert (shaper.one_off_remaining + shaper.level
+                == pytest.approx(300 * units.MiB))
         assert shaper.refill_rate == LAMBDA_BASELINE_RATE
 
     def test_lambda_shaper_outbound_is_slower(self):
